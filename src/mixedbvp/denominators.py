@@ -157,14 +157,6 @@ def separation_check(a_over_pi: PiRatio, phase: PhaseClass) -> SeparationResult:
     )
 
 
-def residue_floor(a_over_pi: PiRatio, phase: PhaseClass) -> float:
-    """min over residues k2 of |sin(pi k2/t + phase)| (0 when not separated)."""
-    frac = a_over_pi.fraction
-    t = frac.denominator
-    values = np.abs(np.sin(math.pi * (np.arange(t) / t + float(phase.phase_over_pi))))
-    return float(np.min(values))
-
-
 @dataclass
 class ScanResult:
     tau_text: str

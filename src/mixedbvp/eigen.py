@@ -46,27 +46,11 @@ class EigenPair:
     norm: float = 1.0
 
 
-class SineSeries:
-    """Finite sine expansion sum c_m sin(m x) with closed-form derivatives."""
-
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.m = np.arange(1, len(self.coeffs) + 1, dtype=float)
-
-    @classmethod
-    def from_samples(cls, values_full_grid: np.ndarray) -> "SineSeries":
-        """Expand samples on a uniform grid over [0, pi] incl. endpoints."""
-        v = np.asarray(values_full_grid, dtype=float)
-        panels = len(v) - 1
-        interior = v[1:-1]
-        coeffs = scipy.fft.dst(interior, type=1) / panels
-        return cls(coeffs)
-
-    def __call__(self, x, order: int = 0):
-        x = np.asarray(x, dtype=float)
-        phases = np.multiply.outer(x, self.m) + order * (math.pi / 2.0)
-        weights = self.coeffs * self.m**order
-        return np.sin(phases) @ weights
+def _sine_waves(u, v, order: int) -> np.ndarray:
+    """sin(u v + order pi/2) over the outer product, built in place."""
+    out = np.multiply.outer(u, v)
+    out += order * math.pi / 2.0
+    return np.sin(out, out=out)
 
 
 @dataclass
@@ -80,7 +64,6 @@ class EigenBasis:
     pairs: list
     samples: np.ndarray  # (K, len(x)) eigenfunction values on x
     meta: dict = field(default_factory=dict)
-    _series: list = field(default_factory=list, repr=False)
 
     @property
     def K(self) -> int:
@@ -90,18 +73,27 @@ class EigenBasis:
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.pairs])
 
-    def eigenfunction(self, idx: int, x, order: int = 0):
-        """X_k^(order)(x) for pair index idx (0-based), closed form."""
+    def functions(self, x, order: int = 0) -> np.ndarray:
+        """X_k^(order)(x) for every pair, shape (K,) + x.shape, closed form.
+
+        The numeric basis is the sine interpolant of its samples: one DST-I
+        of the interior samples gives every mode's sine coefficients c_km,
+        and X_k^(order)(x) = sum_m c_km m^order sin(m x + order pi/2).
+        """
         x = np.asarray(x, dtype=float)
         if self.kind == "model":
-            k = self.pairs[idx].k
-            amp = math.sqrt(2.0 / math.pi) * float(k) ** order
-            return amp * np.sin(k * x + order * math.pi / 2.0)
-        if not self._series:
-            self._series.extend(
-                SineSeries.from_samples(self.samples[i]) for i in range(self.K)
-            )
-        return self._series[idx](x, order)
+            k = np.array([p.k for p in self.pairs], dtype=float)
+            out = _sine_waves(k, x, order)
+            out *= (math.sqrt(2.0 / math.pi) * k**order).reshape((-1,) + (1,) * x.ndim)
+            return out
+        panels = len(self.x) - 1
+        coeffs = scipy.fft.dst(self.samples[:, 1:-1], type=1, axis=1) / panels
+        m = np.arange(1, panels, dtype=float)
+        waves = _sine_waves(x.reshape(-1), m, order)
+        # einsum, not a BLAS product: these calls come one at a time between
+        # other work, where a threaded BLAS call can wait milliseconds for its
+        # idle worker threads to wake.
+        return np.einsum("xm,km->kx", waves, coeffs * m**order).reshape((self.K,) + x.shape)
 
     def expand(self, f) -> np.ndarray:
         """Quadrature coefficients <f, X_k> for k = 1..K."""
@@ -130,7 +122,9 @@ def model_eigenpairs(s: int, K: int, grid_points: int = 8193) -> EigenBasis:
     x = np.linspace(0.0, math.pi, grid_points)
     w = simpson_weights(grid_points, x[1] - x[0])
     k = np.arange(1, K + 1)
-    samples = math.sqrt(2.0 / math.pi) * np.sin(np.outer(k, x))
+    samples = np.outer(k, x)
+    np.sin(samples, out=samples)
+    samples *= math.sqrt(2.0 / math.pi)
     pairs = [EigenPair(k=int(kk), lam=float(kk) ** (2 * s)) for kk in k]
     return EigenBasis(
         s=s, kind="model", x=x, weights=w, pairs=pairs, samples=samples,
@@ -284,8 +278,7 @@ def mercer_partial_sums(basis: EigenBasis, xs) -> np.ndarray:
     and bounded for the operator class handled here.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    vals = np.stack([basis.eigenfunction(i, xs) for i in range(basis.K)])
-    terms = vals**2 / basis.lambdas[:, None]
+    terms = basis.functions(xs) ** 2 / basis.lambdas[:, None]
     return np.cumsum(terms, axis=0)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roots import FundamentalSystem, characteristic_roots, fundamental_system
+from .roots import FundamentalSystem, characteristic_roots, fundamental_system, unit_values
 
 
 class SingularMode(Exception):
@@ -40,13 +40,6 @@ class SingularMode(Exception):
             f"modal system at k={k} is singular: |det|={abs(det_scaled):.3e} "
             f"< threshold {threshold:.3e}"
         )
-
-
-def _column_shift(alpha: float, region: str, a: float) -> float:
-    """Anchor point of the column envelope; exp(alpha*shift) is the scale."""
-    if region == "upper":
-        return a if alpha > 0 else 0.0
-    return -a if alpha < 0 else 0.0
 
 
 @dataclass
@@ -101,45 +94,25 @@ def assemble(
     if len(phi_k) != n or len(psi_k) != n:
         raise ValueError("boundary coefficient vectors must have length n")
 
-    size = 4 * n
-    matrix = np.zeros((size, size))
-    rhs = np.zeros(size)
-    shifts = np.empty(size)
-    scales_log = np.empty(size)
-    row_orders = np.empty(size, dtype=int)
+    n2 = 2 * n
+    # Column envelope anchors: exp(alpha * shift) is the largest envelope a
+    # column attains on its own half.
+    alpha_up = rho * np.cos(upper.theta)
+    alpha_lo = rho * np.cos(lower.theta)
+    shifts = np.concatenate([np.where(alpha_up > 0, a, 0.0), np.where(alpha_lo < 0, -a, 0.0)])
+    scales_log = np.concatenate([alpha_up, alpha_lo]) * shifts
+    top = chi + delta * np.arange(n)
+    bottom = q + gamma * np.arange(n)
+    match = np.arange(n2)
+    row_orders = np.concatenate([top, bottom, match])
 
-    for i, f in enumerate(upper.functions):
-        shifts[i] = _column_shift(f.alpha, "upper", a)
-        scales_log[i] = f.alpha * shifts[i]
-    for i, f in enumerate(lower.functions):
-        col = 2 * n + i
-        shifts[col] = _column_shift(f.alpha, "lower", a)
-        scales_log[col] = f.alpha * shifts[col]
-
-    for j in range(n):
-        order = chi + delta * j
-        row_orders[j] = order
-        for i, f in enumerate(upper.functions):
-            matrix[j, i] = f.unit_eval(a, order, shifts[i])
-        rhs[j] = psi_k[j] / rho**order
-
-    for j in range(n):
-        row = n + j
-        order = q + gamma * j
-        row_orders[row] = order
-        for i, f in enumerate(lower.functions):
-            col = 2 * n + i
-            matrix[row, col] = f.unit_eval(-a, order, shifts[col])
-        rhs[row] = phi_k[j] / rho**order
-
-    for j in range(2 * n):
-        row = 2 * n + j
-        row_orders[row] = j
-        for i, f in enumerate(upper.functions):
-            matrix[row, i] = f.unit_eval(0.0, j, shifts[i])
-        for i, f in enumerate(lower.functions):
-            col = 2 * n + i
-            matrix[row, col] = -f.unit_eval(0.0, j, shifts[col])
+    matrix = np.zeros((4 * n, 4 * n))
+    up, lo = slice(None, n2), slice(n2, None)
+    matrix[:n, up] = unit_values(rho, upper.theta, upper.is_sin, a, top[:, None], shifts[up])
+    matrix[n:n2, lo] = unit_values(rho, lower.theta, lower.is_sin, -a, bottom[:, None], shifts[lo])
+    matrix[n2:, up] = unit_values(rho, upper.theta, upper.is_sin, 0.0, match[:, None], shifts[up])
+    matrix[n2:, lo] = -unit_values(rho, lower.theta, lower.is_sin, 0.0, match[:, None], shifts[lo])
+    rhs = np.concatenate([psi_k / rho**top, phi_k / rho**bottom, np.zeros(n2)])
 
     return ModalSystem(
         k=k, lam=float(lam), rho=rho, n=n, a=a, gamma=gamma, delta=delta,
@@ -183,38 +156,23 @@ class ModalSolution:
     column_shifts: np.ndarray
     solve_residual: float
 
-    def _region_value(self, fns, coef, shifts, y, order):
-        y = np.asarray(y, dtype=float)
-        total = np.zeros(y.shape)
-        for c, f, y0 in zip(coef, fns, shifts):
-            if c != 0.0:
-                total += c * f.unit_eval(y, order, y0)
-        return self.rho**order * total
+    def _stack(self, y, order, region):
+        one = stacked_profiles(
+            self.upper, self.lower, np.array([self.rho]), self.coeffs[None],
+            self.column_shifts[None], y, order, region,
+        )
+        return one[0]
 
     def upper_value(self, y, order: int = 0):
-        n2 = 2 * self.n
-        return self._region_value(
-            self.upper.functions, self.coeffs[:n2], self.column_shifts[:n2], y, order
-        )
+        return self._stack(y, order, "upper")
 
     def lower_value(self, y, order: int = 0):
-        n2 = 2 * self.n
-        return self._region_value(
-            self.lower.functions, self.coeffs[n2:], self.column_shifts[n2:], y, order
-        )
+        return self._stack(y, order, "lower")
 
     def value(self, y, order: int = 0):
         """Y^(order)(y); y = 0 uses the upper-side representation."""
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        out = np.empty(y.shape)
-        up = y >= 0
-        if np.any(up):
-            out[up] = self.upper_value(y[up], order)
-        if np.any(~up):
-            out[~up] = self.lower_value(y[~up], order)
-        return float(out[0]) if scalar else out
+        out = self._stack(y, order, None)
+        return float(out) if np.ndim(out) == 0 else out
 
     def matching_errors(self) -> np.ndarray:
         """|Y^(j)(0+) - Y^(j)(0-)| for j = 0..2n-1."""
@@ -224,6 +182,44 @@ class ModalSolution:
                 for j in range(2 * self.n)
             ]
         )
+
+
+def _half_profiles(rho, system: FundamentalSystem, coeffs, shifts, y, order):
+    """rho^order sum_i coeffs[:, i] unit_values(rho, theta_i, ...) at y.
+
+    One basis column at a time, so no temporary is larger than the
+    (K,) + y.shape result.
+    """
+    lead = (slice(None),) + (None,) * y.ndim
+    rho = rho[lead]
+    total = np.zeros(rho.shape[:1] + y.shape)
+    for i, (theta, is_sin) in enumerate(zip(system.theta, system.is_sin)):
+        total += coeffs[:, i][lead] * unit_values(rho, theta, is_sin, y, order, shifts[:, i][lead])
+    return rho**order * total
+
+
+def stacked_profiles(upper, lower, rho, coeffs, shifts, y, order, region):
+    """Y_k^(order)(y) for a stack of K solved modes, shape (K,) + y.shape.
+
+    upper / lower are the fundamental systems of either half (their angles
+    do not depend on the mode); rho has shape (K,), coeffs and shifts
+    (K, 4n) as solved.  With region None each half's representation is
+    evaluated only at points on its own half (y = 0 counts as upper), so
+    no envelope is ever evaluated where it grows; "upper" or "lower" uses
+    that half's representation at every y.
+    """
+    y = np.asarray(y, dtype=float)
+    n2 = upper.size
+    if region == "upper":
+        return _half_profiles(rho, upper, coeffs[:, :n2], shifts[:, :n2], y, order)
+    if region == "lower":
+        return _half_profiles(rho, lower, coeffs[:, n2:], shifts[:, n2:], y, order)
+    flat = y.reshape(-1)
+    up = flat >= 0
+    out = np.empty((len(rho), flat.size))
+    out[:, up] = stacked_profiles(upper, lower, rho, coeffs, shifts, flat[up], order, "upper")
+    out[:, ~up] = stacked_profiles(upper, lower, rho, coeffs, shifts, flat[~up], order, "lower")
+    return out.reshape((len(rho),) + y.shape)
 
 
 def solve_modal(sys: ModalSystem, tol_singular: float = 1e-10) -> ModalSolution:

@@ -141,17 +141,32 @@ class BasisFunction:
         return np.exp(self.alpha * (y - y_shift)) * osc
 
 
+def unit_values(rho, theta, is_sin, y, order, y_shift):
+    """BasisFunction.unit_eval with every argument broadcast.
+
+    rho^-order e^(-alpha y_shift) d^order/dy^order [e^(alpha y) trig(beta y)]
+    with alpha = rho cos(theta), beta = rho sin(theta) and trig = sin where
+    is_sin holds, cos elsewhere.  theta is a float or an array, not a list.
+    """
+    phase = rho * np.sin(theta) * y + order * theta
+    osc = np.where(is_sin, np.sin(phase), np.cos(phase))
+    return np.exp(rho * np.cos(theta) * (y - y_shift)) * osc
+
+
 @dataclass(frozen=True)
 class FundamentalSystem:
     """Ordered real basis of the modal ODE in one region (2n functions).
 
     Order: angles ascending; each conjugate pair contributes its cos
     function then its sin function; real roots contribute one cos-type
-    function (beta = 0).
+    function (beta = 0).  theta and is_sin hold the same basis as arrays of
+    shape (2n,) for unit_values.
     """
 
     rootset: RootSet
     functions: tuple
+    theta: np.ndarray
+    is_sin: np.ndarray
 
     @property
     def size(self) -> int:
@@ -165,7 +180,11 @@ def fundamental_system(rootset: RootSet) -> FundamentalSystem:
         if ang.is_pair:
             fns.append(BasisFunction(rho=rootset.rho, theta=ang.theta, trig="sin"))
     assert len(fns) == 2 * rootset.n
-    return FundamentalSystem(rootset=rootset, functions=tuple(fns))
+    return FundamentalSystem(
+        rootset=rootset, functions=tuple(fns),
+        theta=np.array([f.theta for f in fns]),
+        is_sin=np.array([f.trig == "sin" for f in fns]),
+    )
 
 
 def ode_residual(system: FundamentalSystem, ys) -> float:
@@ -175,14 +194,15 @@ def ode_residual(system: FundamentalSystem, ys) -> float:
     y-samples from that region.
     """
     rs = system.rootset
-    n, lam = rs.n, rs.lam
+    n, lam, rho = rs.n, rs.lam, rs.rho
     sgn = 1.0 if rs.region == "upper" else -1.0
-    worst = 0.0
-    for f in system.functions:
-        val = f.eval(ys, order=2 * n) + ((-1) ** n) * sgn * lam * f.eval(ys, order=0)
-        scale = lam * max(1.0, float(np.max(np.abs(f.eval(ys)))))
-        worst = max(worst, float(np.max(np.abs(val))) / scale)
-    return worst
+    ys = np.asarray(ys, dtype=float)
+    theta, is_sin = system.theta[:, None], system.is_sin[:, None]
+    val0 = unit_values(rho, theta, is_sin, ys, 0, 0.0)
+    top = rho ** (2 * n) * unit_values(rho, theta, is_sin, ys, 2 * n, 0.0)
+    res = np.max(np.abs(top + ((-1) ** n) * sgn * lam * val0), axis=1)
+    scale = lam * np.maximum(1.0, np.max(np.abs(val0), axis=1))
+    return float(np.max(res / scale))
 
 
 def scaled_wronskian(system: FundamentalSystem) -> float:
@@ -191,11 +211,6 @@ def scaled_wronskian(system: FundamentalSystem) -> float:
     The true Wronskian at 0 equals this times rho^(n(2n-1)); a bounded
     nonzero value here certifies independence at every eigenvalue scale.
     """
-    fns = system.functions
-    m = len(fns)
-    mat = np.empty((m, m))
-    for j in range(m):
-        for i, f in enumerate(fns):
-            phase = j * f.theta
-            mat[j, i] = math.cos(phase) if f.trig == "cos" else math.sin(phase)
+    orders = np.arange(system.size)[:, None]
+    mat = unit_values(system.rootset.rho, system.theta, system.is_sin, 0.0, orders, 0.0)
     return float(np.linalg.det(mat))

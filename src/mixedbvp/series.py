@@ -34,7 +34,13 @@ from .eigen import (
     model_eigenpairs,
     numeric_eigenpairs,
 )
-from .modal import SingularMode, assemble_from_spec, scaled_determinant, solve_modal
+from .modal import (
+    SingularMode,
+    assemble_from_spec,
+    scaled_determinant,
+    solve_modal,
+    stacked_profiles,
+)
 from .problem import X, ProblemSpec, validate
 
 
@@ -244,6 +250,32 @@ class SolutionField:
         if np.any(y < -a - eps) or np.any(y > a + eps):
             raise OutOfDomain(f"y outside [-{a!r}, {a!r}]")
 
+    def profiles(self, y, order: int = 0, region: str | None = None) -> np.ndarray:
+        """Y_k^(order)(y) for every active mode, shape (K_active,) + y.shape.
+
+        With region None each half's representation is evaluated only at
+        points on its own half (y = 0 counts as upper); "upper" or "lower"
+        uses that half's representation at every y.  Skipped singular modes
+        read 0.  rho, coefficients and shifts are read from self.modes on
+        each call.
+        """
+        y = np.asarray(y, dtype=float)
+        K = len(self.modes)
+        live = [i for i, mode in enumerate(self.modes) if mode is not None]
+        if not live:
+            return np.zeros((K,) + y.shape)
+        width = 4 * self.spec.n
+        rho, coeffs, shifts = np.zeros(K), np.zeros((K, width)), np.zeros((K, width))
+        rho[live] = [self.modes[i].rho for i in live]
+        coeffs[live] = [self.modes[i].coeffs for i in live]
+        shifts[live] = [self.modes[i].column_shifts for i in live]
+        first = self.modes[live[0]]
+        return stacked_profiles(first.upper, first.lower, rho, coeffs, shifts, y, order, region)
+
+    def functions(self, x, order: int = 0) -> np.ndarray:
+        """X_k^(order)(x) for the active modes, shape (K_active,) + x.shape."""
+        return self.basis.functions(x, order)[: len(self.modes)]
+
     def evaluate(self, x, y, dx_order: int = 0, dy_order: int = 0):
         """Pointwise series value; x and y broadcast together."""
         self._check_orders(dx_order, dy_order)
@@ -251,11 +283,7 @@ class SolutionField:
         y = np.asarray(y, dtype=float)
         self._check_domain(x, y)
         xb, yb = np.broadcast_arrays(x, y)
-        out = np.zeros(xb.shape)
-        for idx, mode in enumerate(self.modes):
-            if mode is None:
-                continue
-            out += self.basis.eigenfunction(idx, xb, dx_order) * mode.value(yb, dy_order)
+        out = np.sum(self.functions(xb, dx_order) * self.profiles(yb, dy_order), axis=0)
         if out.ndim == 0:
             return float(out)
         return out
@@ -270,16 +298,7 @@ class SolutionField:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         self._check_domain(xs, ys)
-        if not self.modes:
-            return np.zeros((len(ys), len(xs)))
-        XM = np.zeros((len(self.modes), len(xs)))
-        YM = np.zeros((len(self.modes), len(ys)))
-        for idx, mode in enumerate(self.modes):
-            if mode is None:
-                continue
-            XM[idx] = self.basis.eigenfunction(idx, xs, dx_order)
-            YM[idx] = mode.value(ys, dy_order)
-        return YM.T @ XM
+        return self.profiles(ys, dy_order).T @ self.functions(xs, dx_order)
 
     def max_abs(self, nx: int = 101, ny: int = 101) -> float:
         xs = np.linspace(0.0, math.pi, nx)
@@ -287,9 +306,14 @@ class SolutionField:
         return float(np.max(np.abs(self.evaluate_grid(xs, ys))))
 
     @property
+    def mode_lams(self) -> np.ndarray:
+        """Eigenvalue stored on each active mode; skipped singular modes read 0."""
+        return np.array([0.0 if m is None else m.lam for m in self.modes])
+
+    @property
     def lam_active_max(self) -> float:
-        lams = [m.lam for m in self.modes if m is not None]
-        return max(lams) if lams else 1.0
+        lams = self.mode_lams
+        return float(lams.max()) if lams.any() else 1.0
 
     def metadata_dict(self) -> dict:
         spec = self.spec
@@ -316,10 +340,6 @@ class SolutionField:
             "smoothness_notes": list(self.smoothness.notes),
             "basis_kind": self.basis.kind,
         }
-
-
-def evaluate(field: SolutionField, x, y, dx_order: int = 0, dy_order: int = 0):
-    return field.evaluate(x, y, dx_order, dy_order)
 
 
 def solve_problem(
@@ -396,25 +416,20 @@ def solve_problem(
             else:
                 raise SingularModeWithData(k, sm.det_scaled, magnitude) from sm
 
-    # Contribution of the last quarter of active modes to max |D_y^(2n) u|.
-    tail_bound = 0.0
-    if K_active:
-        qt = max(1, K_active // 4)
-        ys = np.linspace(-spec.a, spec.a, 33)
-        for idx in range(K_active - qt, K_active):
-            mode = modes[idx]
-            if mode is None:
-                continue
-            ymax = float(np.max(np.abs(mode.value(ys, 2 * spec.n))))
-            xmax = float(np.max(np.abs(basis.samples[idx])))
-            tail_bound += ymax * xmax
-
-    return SolutionField(
+    field = SolutionField(
         spec=spec, basis=basis, expansion=expansion, modes=modes, dets=dets,
         K_requested=K, K_active=K_active, denominator=denom, smoothness=smooth,
-        tail_bound=tail_bound, weight_law=law, nonunique_modes=nonunique,
+        tail_bound=0.0, weight_law=law, nonunique_modes=nonunique,
         tol=tol, tol_singular=tol_singular,
     )
+    # Contribution of the last quarter of active modes to max |D_y^(2n) u|.
+    if K_active:
+        tail = slice(K_active - max(1, K_active // 4), K_active)
+        ys = np.linspace(-spec.a, spec.a, 33)
+        ymax = np.max(np.abs(field.profiles(ys, 2 * spec.n)[tail]), axis=1)
+        xmax = np.max(np.abs(basis.samples[tail]), axis=1)
+        field.tail_bound = float(np.sum(ymax * xmax))
+    return field
 
 
 def solution_to_csv(field: SolutionField, xs, ys, path) -> None:

@@ -41,31 +41,14 @@ def _region_grids(field: SolutionField, nx: int, ny: int):
 def _termwise_region(field: SolutionField, xs, ys, upper: bool) -> np.ndarray:
     """sum_k [ l(X_k)(x) Y_k(y) + (-1)^n sgn(y) X_k(x) Y_k^(2n)(y) ]."""
     spec = field.spec
-    K = len(field.modes)
-    if K == 0:
-        return np.zeros((len(ys), len(xs)))
-    LX = np.zeros((K, len(xs)))
-    XV = np.zeros((K, len(xs)))
-    YV = np.zeros((K, len(ys)))
-    Y2 = np.zeros((K, len(ys)))
-    p0_vals = None
-    if field.basis.kind != "model":
-        p0_vals = field.spec.p0(xs)
-    for idx, mode in enumerate(field.modes):
-        if mode is None:
-            continue
-        XV[idx] = field.basis.eigenfunction(idx, xs)
-        if field.basis.kind == "model":
-            LX[idx] = mode.lam * XV[idx]
-        else:
-            LX[idx] = (-1) ** spec.s * field.basis.eigenfunction(idx, xs, 2 * spec.s)
-            LX[idx] += p0_vals * XV[idx]
-        if upper:
-            YV[idx] = mode.upper_value(ys, 0)
-            Y2[idx] = mode.upper_value(ys, 2 * spec.n)
-        else:
-            YV[idx] = mode.lower_value(ys, 0)
-            Y2[idx] = mode.lower_value(ys, 2 * spec.n)
+    region = "upper" if upper else "lower"
+    XV = field.functions(xs)
+    if field.basis.kind == "model":
+        LX = field.mode_lams[:, None] * XV
+    else:
+        LX = (-1) ** spec.s * field.functions(xs, 2 * spec.s) + spec.p0(xs) * XV
+    YV = field.profiles(ys, 0, region)
+    Y2 = field.profiles(ys, 2 * spec.n, region)
     sign = (-1) ** spec.n * (1.0 if upper else -1.0)
     return YV.T @ LX + sign * (Y2.T @ XV)
 
@@ -206,33 +189,16 @@ class MatchingReport:
 
 def matching_check(field: SolutionField, nx: int = 201) -> MatchingReport:
     """Continuity of u and its first 2n-1 y-derivatives across y = 0."""
-    spec = field.spec
-    xs = np.linspace(0.0, math.pi, nx)
-    K = len(field.modes)
+    XV = field.functions(np.linspace(0.0, math.pi, nx))
+    xmax = np.max(np.abs(XV), axis=1)
     absolute, relative = [], []
-    if K == 0:
-        zeros = [0.0] * (2 * spec.n)
-        return MatchingReport(zeros, list(zeros))
-    XV = np.zeros((K, len(xs)))
-    xmax = np.zeros(K)
-    for idx, mode in enumerate(field.modes):
-        if mode is None:
-            continue
-        XV[idx] = field.basis.eigenfunction(idx, xs)
-        xmax[idx] = np.max(np.abs(XV[idx]))
-    for j in range(2 * spec.n):
-        diffs = np.zeros(K)
-        scale = 0.0
-        for idx, mode in enumerate(field.modes):
-            if mode is None:
-                continue
-            up = mode.upper_value(0.0, j)
-            lo = mode.lower_value(0.0, j)
-            diffs[idx] = up - lo
-            scale += xmax[idx] * max(abs(up), abs(lo))
-        err = float(np.max(np.abs(diffs @ XV)))
+    for j in range(2 * field.spec.n):
+        up = field.profiles(0.0, j, "upper")
+        lo = field.profiles(0.0, j, "lower")
+        err = float(np.max(np.abs((up - lo) @ XV)))
+        scale = float(xmax @ np.maximum(np.abs(up), np.abs(lo)))
         absolute.append(err)
-        relative.append(float(err / max(scale, _TINY)) if scale > 0 else err)
+        relative.append(err / max(scale, _TINY) if scale > 0 else err)
     return MatchingReport(absolute, relative)
 
 
@@ -259,38 +225,29 @@ def oracle_compare(field: SolutionField, ny: int = 101) -> OracleComparison:
         )
     a = spec.a
     ys = np.linspace(-a, a, ny)
-    up_mask = ys >= 0.0
-    max_mode_dev = 0.0
-    ratios = []
-    K = len(field.modes)
-    YO = np.zeros((K, ny))
-    YF = np.zeros((K, ny))
-    for idx, mode in enumerate(field.modes):
-        if mode is None:
-            continue
-        R = math.sqrt(mode.lam)
-        C, S = math.cos(R * a), math.sin(R * a)
-        E = math.exp(-R * a)
-        det2 = (C + S) - E * E * (C - S)
-        phi_k = field.expansion.phi[0, idx]
-        psi_k = field.expansion.psi[0, idx]
-        c1h = (psi_k * (C + S) - phi_k * E) / det2
-        c2 = (phi_k - psi_k * (C - S) * E) / det2
-        d1 = c1h * E + c2
-        d2 = c1h * E - c2
-        y_up = c1h * np.exp(R * (ys - a)) + c2 * np.exp(-R * ys)
-        y_lo = d1 * np.cos(R * ys) + d2 * np.sin(R * ys)
-        YO[idx] = np.where(up_mask, y_up, y_lo)
-        YF[idx] = mode.value(ys, 0)
-        scale = max(float(np.max(np.abs(YO[idx]))), _TINY)
-        max_mode_dev = max(max_mode_dev, float(np.max(np.abs(YF[idx] - YO[idx]))) / scale)
-        ratios.append(float(field.dets[idx] / det2))
-    xs = np.linspace(0.0, math.pi, 101)
-    XM = np.zeros((K, len(xs)))
-    for idx, mode in enumerate(field.modes):
-        if mode is None:
-            continue
-        XM[idx] = field.basis.eigenfunction(idx, xs)
+    up = ys >= 0.0
+    lams = field.mode_lams
+    live = np.flatnonzero(lams)
+    R = np.sqrt(lams[live])[:, None]
+    C, S = np.cos(R * a), np.sin(R * a)
+    E = np.exp(-R * a)
+    det2 = (C + S) - E * E * (C - S)
+    phi_k = field.expansion.phi[0, live][:, None]
+    psi_k = field.expansion.psi[0, live][:, None]
+    c1h = (psi_k * (C + S) - phi_k * E) / det2
+    c2 = (phi_k - psi_k * (C - S) * E) / det2
+    d1 = c1h * E + c2
+    d2 = c1h * E - c2
+    # Each branch only on its own half: exp(-R y) overflows for y < 0 once
+    # R a > 709.
+    YO = np.empty((len(live), ny))
+    YO[:, up] = c1h * np.exp(R * (ys[up] - a)) + c2 * np.exp(-R * ys[up])
+    YO[:, ~up] = d1 * np.cos(R * ys[~up]) + d2 * np.sin(R * ys[~up])
+    YF = field.profiles(ys)[live]
+    scale = np.maximum(np.max(np.abs(YO), axis=1), _TINY)
+    max_mode_dev = float(np.max(np.max(np.abs(YF - YO), axis=1) / scale, initial=0.0))
+    ratios = [float(r) for r in field.dets[live] / det2[:, 0]]
+    XM = field.functions(np.linspace(0.0, math.pi, 101))[live]
     U_oracle = YO.T @ XM
     U_field = YF.T @ XM
     uscale = max(float(np.max(np.abs(U_oracle))), _TINY)

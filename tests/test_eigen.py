@@ -52,9 +52,10 @@ def test_model_eigenfunction_derivatives():
     basis = model_eigenpairs(2, K=5)
     xs = np.linspace(0, math.pi, 11)
     scale = math.sqrt(2 / math.pi)
-    assert np.allclose(basis.eigenfunction(2, xs), scale * np.sin(3 * xs))
-    assert np.allclose(basis.eigenfunction(2, xs, 1), 3 * scale * np.cos(3 * xs))
-    assert np.allclose(basis.eigenfunction(2, xs, 2), -9 * scale * np.sin(3 * xs))
+    assert basis.functions(xs).shape == (5, 11)
+    assert np.allclose(basis.functions(xs)[2], scale * np.sin(3 * xs))
+    assert np.allclose(basis.functions(xs, 1)[2], 3 * scale * np.cos(3 * xs))
+    assert np.allclose(basis.functions(xs, 2)[2], -9 * scale * np.sin(3 * xs))
 
 
 def test_numeric_matches_model_for_zero_potential():
@@ -88,10 +89,19 @@ def test_numeric_orthonormal_and_interpolant():
     basis = numeric_eigenpairs(1, p0, K=6, grid_size=256)
     assert basis.gram_error() < 1e-10
     # the sine interpolant reproduces the grid samples
-    xs = basis.x
-    for idx in range(basis.K):
-        vals = basis.eigenfunction(idx, xs)
-        assert np.max(np.abs(vals - basis.samples[idx])) < 1e-8
+    assert np.max(np.abs(basis.functions(basis.x) - basis.samples)) < 1e-8
+
+
+def test_numeric_functions_derivative_matches_difference():
+    p0 = BoundaryFunction.from_expression("1 + x*(pi - x)")
+    basis = numeric_eigenpairs(1, p0, K=6, grid_size=256)
+    xs = np.linspace(0.3, math.pi - 0.3, 23)
+    h = 1e-3
+    f = [basis.functions(xs + j * h) for j in (-2, -1, 0, 1, 2)]
+    fd = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+    d2 = basis.functions(xs, 2)
+    assert d2.shape == (6, 23)
+    assert np.max(np.abs(d2 - fd)) < 1e-6 * np.max(np.abs(d2))
 
 
 def test_numeric_higher_order_operator():

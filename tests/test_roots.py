@@ -12,6 +12,7 @@ from mixedbvp.roots import (
     ode_residual,
     root_equation_residual,
     scaled_wronskian,
+    unit_values,
 )
 
 
@@ -107,6 +108,29 @@ def test_unit_eval_bounded_by_shift():
                 shift = 0.0
             vals = [abs(f.unit_eval(y, 0, shift)) for y in ys]
             assert max(vals) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("region", ["upper", "lower"])
+@pytest.mark.parametrize("lam", [0.5, 37.5, 1e6, 1e12])
+def test_unit_values_matches_unit_eval(n, region, lam):
+    # one broadcast call over (order, column, y) against the scalar reference
+    sys = fundamental_system(characteristic_roots(n, lam, region))
+    a = 1.3
+    ys = np.linspace(0.0, a, 9) if region == "upper" else np.linspace(-a, 0.0, 9)
+    shifts = [
+        (a if f.alpha > 0 else 0.0) if region == "upper" else (-a if f.alpha < 0 else 0.0)
+        for f in sys.functions
+    ]
+    orders = np.arange(2 * n + 1)
+    got = unit_values(sys.rootset.rho, sys.theta[:, None], sys.is_sin[:, None],
+                      ys, orders[:, None, None], np.array(shifts)[:, None])
+    assert got.shape == (2 * n + 1, 2 * n, len(ys))
+    want = np.array([
+        [f.unit_eval(ys, int(order), shift) for f, shift in zip(sys.functions, shifts)]
+        for order in orders
+    ])
+    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)

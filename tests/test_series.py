@@ -164,6 +164,29 @@ class TestSingularPolicy:
         # the skipped mode contributes nothing but the rest solves
         assert np.isfinite(field.max_abs())
 
+    def test_profiles_match_basis_function_sum(self):
+        field = solve_problem(self.singular_spec("sin(8*x)"), K=10,
+                              tol_singular=1e-6)
+        a, n2 = field.spec.a, 2 * field.spec.n
+        ys = np.linspace(-a, a, 13)
+        for order in range(2 * field.spec.n + 1):
+            got = field.profiles(ys, order)
+            assert got.shape == (field.K_active, len(ys))
+            for idx, mode in enumerate(field.modes):
+                if mode is None:
+                    assert np.all(got[idx] == 0.0)
+                    continue
+                want = np.zeros(len(ys))
+                for j, yv in enumerate(ys):
+                    fns, cols = (mode.upper.functions, range(n2)) if yv >= 0 else \
+                        (mode.lower.functions, range(n2, 2 * n2))
+                    want[j] = mode.rho**order * sum(
+                        mode.coeffs[c] * f.unit_eval(yv, order, mode.column_shifts[c])
+                        for f, c in zip(fns, cols)
+                    )
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got[idx] - want)) <= 1e-13 * scale
+
 
 class TestArtifacts:
     def test_csv_deterministic(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ class TestOracle:
         assert rep.max_mode_deviation < 1e-12
         assert rep.max_field_deviation < 1e-12
         assert rep.det_ratio_spread < 1e-12
+
+    def test_large_k_does_not_overflow(self):
+        # exp(-R y) on the lower half overflows once k a > 709 (k > 225 here)
+        spec = make_spec(s=1, n=1, a_over_pi="1/1",
+                         phi="x*(pi - x)", psi="sin(x)")
+        field = solve_problem(spec, K=300)
+        assert field.K_active > 226
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = oracle_compare(field)
+        assert rep.max_mode_deviation < 1e-9
+        assert len(rep.det_ratios) == field.K_active
 
     def test_unavailable_outside_prototype(self):
         spec = make_spec(s=2, n=2, a_over_pi="1/3", gamma=1, q=1, chi=0,
