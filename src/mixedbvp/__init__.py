@@ -26,9 +26,7 @@ from .eigen import (
     numeric_eigenpairs,
 )
 from .modal import (
-    ModalSolution,
-    ModalSystem,
-    SingularMode,
+    ModeBank,
     assemble,
     assemble_from_spec,
     scaled_determinant,
@@ -74,13 +72,11 @@ __all__ = [
     "EigenBasis",
     "ExpressionError",
     "IrrationalInput",
-    "ModalSolution",
-    "ModalSystem",
+    "ModeBank",
     "OracleUnavailable",
     "OutOfDomain",
     "PiRatio",
     "ProblemSpec",
-    "SingularMode",
     "SingularModeWithData",
     "SolutionField",
     "ValidationError",

@@ -119,6 +119,15 @@ def model_eigenpairs(s: int, K: int, grid_points: int = 8193) -> EigenBasis:
         raise ValueError("K must be >= 1")
     if grid_points % 2 == 0:
         grid_points += 1  # Simpson needs an even panel count
+    # Simpson on M panels combines trapezoid rules on M and M/2 panels; the
+    # coarser one is exact for cos(mx) only while m < M, so the products
+    # sin(kx) sin(jx) alias once k + j reaches M = grid_points - 1.
+    limit = (grid_points - 1) // 2
+    if K >= limit:
+        raise DiscretizationTooCoarse(
+            f"K={K} model modes alias on {grid_points} grid points; "
+            f"need K < (grid_points - 1)/2 = {limit}"
+        )
     x = np.linspace(0.0, math.pi, grid_points)
     w = simpson_weights(grid_points, x[1] - x[0])
     k = np.arange(1, K + 1)

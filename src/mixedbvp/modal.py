@@ -1,10 +1,13 @@
-"""Per-mode linear system: assembly, scaled determinant, solve, evaluators.
+"""Modal linear systems: assembly, scaled determinant, solve, evaluators.
 
 For mode k with eigenvalue lam the y-profile Y(y) is a combination of 2n
 fundamental solutions in each half of (-a, a), tied together by 4n linear
 conditions: n data rows at y = +a (derivative orders chi + delta*j), n data
 rows at y = -a (orders q + gamma*j), and 2n matching rows at y = 0 (orders
-0..2n-1, upper value minus lower value).
+0..2n-1, upper value minus lower value).  The modes differ only in
+rho = lam^(1/(2n)), so every stage works on a stack of modes: a ModeBank
+holds one array per quantity whose leading shape is that of lam (a scalar
+lam is a stack with no leading axis).
 
 Conditioning is managed analytically rather than numerically:
 
@@ -22,56 +25,55 @@ forms an overflowing intermediate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .roots import FundamentalSystem, characteristic_roots, fundamental_system, unit_values
 
-
-class SingularMode(Exception):
-    """The scaled modal determinant vanished (to tolerance) at mode k."""
-
-    def __init__(self, k, det_scaled, threshold):
-        self.k = k
-        self.det_scaled = det_scaled
-        self.threshold = threshold
-        super().__init__(
-            f"modal system at k={k} is singular: |det|={abs(det_scaled):.3e} "
-            f"< threshold {threshold:.3e}"
-        )
+# ModeBank fields with one entry per mode (the leading axes).
+_PER_MODE = ("lam", "rho", "matrix", "rhs", "column_shifts", "column_scales_log",
+             "det_scaled", "cond", "coeffs", "solve_residual", "singular")
 
 
-@dataclass
-class ModalSystem:
-    """Assembled, scaled 4n x 4n system for one mode."""
+@dataclass(frozen=True)
+class ModeBank:
+    """A stack of scaled 4n x 4n modal systems, one array per quantity.
 
-    k: int | None
-    lam: float
-    rho: float
+    Every per-mode array has the leading shape of lam.  assemble fills the
+    system; solve_modal returns a copy with the solution fields set.  upper
+    and lower are the fundamental systems of either half on the unit circle:
+    their root angles (theta, is_sin) serve every mode.
+    """
+
     n: int
-    a: float
-    gamma: int
-    delta: int
-    q: int
-    chi: int
+    lam: np.ndarray
+    rho: np.ndarray
     upper: FundamentalSystem
     lower: FundamentalSystem
-    matrix: np.ndarray
-    rhs: np.ndarray
-    column_scales_log: np.ndarray
-    column_shifts: np.ndarray
-    row_orders: np.ndarray
+    matrix: np.ndarray  # (..., 4n, 4n)
+    rhs: np.ndarray  # (..., 4n)
+    column_shifts: np.ndarray  # (..., 4n)
+    column_scales_log: np.ndarray  # (..., 4n)
+    row_orders: np.ndarray  # (4n,), shared by every mode
+    det_scaled: np.ndarray | None = None
+    cond: np.ndarray | None = None
+    coeffs: np.ndarray | None = None  # (..., 4n), zero on singular modes
+    solve_residual: np.ndarray | None = None  # NaN on singular modes
+    singular: np.ndarray | None = None
 
-    @property
-    def size(self) -> int:
-        return 4 * self.n
+    def rows(self, index) -> ModeBank:
+        """The bank restricted to the modes lam[index]."""
+        return replace(self, **{
+            name: getattr(self, name)[index]
+            for name in _PER_MODE if getattr(self, name) is not None
+        })
 
 
 def assemble(
     *,
     n: int,
-    lam: float,
+    lam,
     a: float,
     gamma: int,
     delta: int,
@@ -79,182 +81,147 @@ def assemble(
     chi: int,
     phi_k=None,
     psi_k=None,
-    k: int | None = None,
-) -> ModalSystem:
-    """Build the scaled modal system for one mode.
+) -> ModeBank:
+    """Build the scaled modal systems for a scalar or a stack of eigenvalues.
 
-    phi_k / psi_k are the n expansion coefficients of the lower / upper
-    boundary data for this mode (default zero).
+    phi_k / psi_k, shape lam.shape + (n,), are the expansion coefficients of
+    the lower / upper boundary data for each mode (default zero).
     """
-    upper = fundamental_system(characteristic_roots(n, lam, "upper"))
-    lower = fundamental_system(characteristic_roots(n, lam, "lower"))
-    rho = upper.rootset.rho
-    phi_k = np.zeros(n) if phi_k is None else np.asarray(phi_k, dtype=float)
-    psi_k = np.zeros(n) if psi_k is None else np.asarray(psi_k, dtype=float)
-    if len(phi_k) != n or len(psi_k) != n:
-        raise ValueError("boundary coefficient vectors must have length n")
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
+        raise ValueError("eigenvalue must be positive")
+    upper = fundamental_system(characteristic_roots(n, 1.0, "upper"))
+    lower = fundamental_system(characteristic_roots(n, 1.0, "lower"))
+    # Python's float power, as characteristic_roots computes rho: numpy's
+    # vectorised power can differ from it in the last bit.
+    rho = np.asarray(lam.astype(object) ** (1.0 / (2 * n)), dtype=float)
+    shape = lam.shape + (n,)
+    phi_k = np.zeros(shape) if phi_k is None else np.asarray(phi_k, dtype=float)
+    psi_k = np.zeros(shape) if psi_k is None else np.asarray(psi_k, dtype=float)
+    if phi_k.shape != shape or psi_k.shape != shape:
+        raise ValueError(f"boundary coefficients must have shape {shape}")
 
     n2 = 2 * n
+    rho_col = rho[..., None]  # against arrays over columns or rows
     # Column envelope anchors: exp(alpha * shift) is the largest envelope a
     # column attains on its own half.
-    alpha_up = rho * np.cos(upper.theta)
-    alpha_lo = rho * np.cos(lower.theta)
-    shifts = np.concatenate([np.where(alpha_up > 0, a, 0.0), np.where(alpha_lo < 0, -a, 0.0)])
-    scales_log = np.concatenate([alpha_up, alpha_lo]) * shifts
+    alpha_up = rho_col * np.cos(upper.theta)
+    alpha_lo = rho_col * np.cos(lower.theta)
+    shifts = np.concatenate(
+        [np.where(alpha_up > 0, a, 0.0), np.where(alpha_lo < 0, -a, 0.0)], axis=-1)
+    scales_log = np.concatenate([alpha_up, alpha_lo], axis=-1) * shifts
     top = chi + delta * np.arange(n)
     bottom = q + gamma * np.arange(n)
     match = np.arange(n2)
-    row_orders = np.concatenate([top, bottom, match])
 
-    matrix = np.zeros((4 * n, 4 * n))
-    up, lo = slice(None, n2), slice(n2, None)
-    matrix[:n, up] = unit_values(rho, upper.theta, upper.is_sin, a, top[:, None], shifts[up])
-    matrix[n:n2, lo] = unit_values(rho, lower.theta, lower.is_sin, -a, bottom[:, None], shifts[lo])
-    matrix[n2:, up] = unit_values(rho, upper.theta, upper.is_sin, 0.0, match[:, None], shifts[up])
-    matrix[n2:, lo] = -unit_values(rho, lower.theta, lower.is_sin, 0.0, match[:, None], shifts[lo])
-    rhs = np.concatenate([psi_k / rho**top, phi_k / rho**bottom, np.zeros(n2)])
+    def block(system, y, orders, shift):
+        """Rows of the given orders at y against one half's 2n columns."""
+        return unit_values(rho[..., None, None], system.theta, system.is_sin, y,
+                           orders[:, None], shift[..., None, :])
 
-    return ModalSystem(
-        k=k, lam=float(lam), rho=rho, n=n, a=a, gamma=gamma, delta=delta,
-        q=q, chi=chi, upper=upper, lower=lower, matrix=matrix, rhs=rhs,
-        column_scales_log=scales_log, column_shifts=shifts,
-        row_orders=row_orders,
+    matrix = np.zeros(lam.shape + (4 * n, 4 * n))
+    matrix[..., :n, :n2] = block(upper, a, top, shifts[..., :n2])
+    matrix[..., n:n2, n2:] = block(lower, -a, bottom, shifts[..., n2:])
+    matrix[..., n2:, :n2] = block(upper, 0.0, match, shifts[..., :n2])
+    matrix[..., n2:, n2:] = -block(lower, 0.0, match, shifts[..., n2:])
+    rhs = np.concatenate(
+        [psi_k / rho_col**top, phi_k / rho_col**bottom, np.zeros(lam.shape + (n2,))], axis=-1)
+
+    return ModeBank(
+        n=n, lam=lam, rho=rho, upper=upper, lower=lower, matrix=matrix, rhs=rhs,
+        column_shifts=shifts, column_scales_log=scales_log,
+        row_orders=np.concatenate([top, bottom, match]),
     )
 
 
-def assemble_from_spec(spec, k: int, lam: float, phi_k, psi_k) -> ModalSystem:
+def assemble_from_spec(spec, lam, phi_k, psi_k) -> ModeBank:
     return assemble(
         n=spec.n, lam=lam, a=spec.a, gamma=spec.gamma, delta=spec.delta,
-        q=spec.q, chi=spec.chi, phi_k=phi_k, psi_k=psi_k, k=k,
+        q=spec.q, chi=spec.chi, phi_k=phi_k, psi_k=psi_k,
     )
 
 
-def scaled_determinant(sys: ModalSystem) -> float:
-    """Determinant of the scaled matrix; same zero set as the raw one."""
-    return float(np.linalg.det(sys.matrix))
+def scaled_determinant(bank: ModeBank):
+    """Determinant of each scaled matrix; same zero set as the raw one."""
+    return np.linalg.det(bank.matrix)
 
 
-def hadamard_row_bound(matrix: np.ndarray) -> float:
-    """Product of row 2-norms; a scale-aware magnitude for |det|."""
-    norms = np.linalg.norm(matrix, axis=1)
-    return float(np.prod(norms))
+def hadamard_row_bound(matrix: np.ndarray):
+    """Product of row 2-norms of each matrix; a scale-aware magnitude for |det|."""
+    return np.prod(np.linalg.norm(matrix, axis=-1), axis=-1)
 
 
-@dataclass
-class ModalSolution:
-    """Solved mode: scaled coefficients plus overflow-safe evaluators."""
+def solve_modal(bank: ModeBank, tol_singular: float = 1e-10) -> ModeBank:
+    """Direct pivoted solve of every mode that is not singular.
 
-    k: int | None
-    lam: float
-    rho: float
-    n: int
-    det_scaled: float
-    cond: float
-    coeffs: np.ndarray
-    upper: FundamentalSystem
-    lower: FundamentalSystem
-    column_shifts: np.ndarray
-    solve_residual: float
-
-    def _stack(self, y, order, region):
-        one = stacked_profiles(
-            self.upper, self.lower, np.array([self.rho]), self.coeffs[None],
-            self.column_shifts[None], y, order, region,
-        )
-        return one[0]
-
-    def upper_value(self, y, order: int = 0):
-        return self._stack(y, order, "upper")
-
-    def lower_value(self, y, order: int = 0):
-        return self._stack(y, order, "lower")
-
-    def value(self, y, order: int = 0):
-        """Y^(order)(y); y = 0 uses the upper-side representation."""
-        out = self._stack(y, order, None)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def matching_errors(self) -> np.ndarray:
-        """|Y^(j)(0+) - Y^(j)(0-)| for j = 0..2n-1."""
-        return np.array(
-            [
-                abs(self.upper_value(0.0, j)[()] - self.lower_value(0.0, j)[()])
-                for j in range(2 * self.n)
-            ]
-        )
+    A mode is singular when its scaled determinant is not finite or falls
+    below tol_singular times its own Hadamard row bound, which signals a
+    vanishing modal determinant.  Singular modes are flagged in the
+    returned bank's singular mask and left unsolved; the caller decides
+    whether one is fatal.
+    """
+    det = scaled_determinant(bank)
+    singular = ~np.isfinite(det) | (np.abs(det) < tol_singular * hadamard_row_bound(bank.matrix))
+    live = ~singular
+    coeffs = np.zeros(bank.rhs.shape)
+    coeffs[live] = np.linalg.solve(bank.matrix[live], bank.rhs[live][..., None])[..., 0]
+    resid = np.abs(np.einsum("...ij,...j->...i", bank.matrix, coeffs) - bank.rhs)
+    denom = np.einsum("...ij,...j->...i", np.abs(bank.matrix), np.abs(coeffs)) + np.abs(bank.rhs)
+    rel = np.max(resid / np.maximum(denom, 1e-300), axis=-1)
+    return replace(
+        bank, det_scaled=det, cond=np.linalg.cond(bank.matrix), coeffs=coeffs,
+        solve_residual=np.where(singular, np.nan, rel), singular=singular,
+    )
 
 
-def _half_profiles(rho, system: FundamentalSystem, coeffs, shifts, y, order):
-    """rho^order sum_i coeffs[:, i] unit_values(rho, theta_i, ...) at y.
+def _half_profiles(bank: ModeBank, system: FundamentalSystem, first: int, y, order):
+    """rho^order sum_i coeffs[..., first + i] unit_values(rho, theta_i, ...) at y.
 
     One basis column at a time, so no temporary is larger than the
-    (K,) + y.shape result.
+    lam.shape + y.shape result.
     """
-    lead = (slice(None),) + (None,) * y.ndim
-    rho = rho[lead]
-    total = np.zeros(rho.shape[:1] + y.shape)
-    for i, (theta, is_sin) in enumerate(zip(system.theta, system.is_sin)):
-        total += coeffs[:, i][lead] * unit_values(rho, theta, is_sin, y, order, shifts[:, i][lead])
+    lead = bank.rho.shape + (1,) * y.ndim
+    rho = bank.rho.reshape(lead)
+    total = np.zeros(bank.rho.shape + y.shape)
+    for i, (theta, is_sin) in enumerate(zip(system.theta, system.is_sin), start=first):
+        shift = bank.column_shifts[..., i].reshape(lead)
+        coeff = bank.coeffs[..., i].reshape(lead)
+        total += coeff * unit_values(rho, theta, is_sin, y, order, shift)
     return rho**order * total
 
 
-def stacked_profiles(upper, lower, rho, coeffs, shifts, y, order, region):
-    """Y_k^(order)(y) for a stack of K solved modes, shape (K,) + y.shape.
+def stacked_profiles(bank: ModeBank, y, order: int, region: str | None):
+    """Y^(order)(y) of every solved mode, shape lam.shape + y.shape.
 
-    upper / lower are the fundamental systems of either half (their angles
-    do not depend on the mode); rho has shape (K,), coeffs and shifts
-    (K, 4n) as solved.  With region None each half's representation is
-    evaluated only at points on its own half (y = 0 counts as upper), so
-    no envelope is ever evaluated where it grows; "upper" or "lower" uses
-    that half's representation at every y.
+    With region None each half's representation is evaluated only at
+    points on its own half (y = 0 counts as upper), so no envelope is ever
+    evaluated where it grows; "upper" or "lower" uses that half's
+    representation at every y.  Singular modes read 0.
     """
     y = np.asarray(y, dtype=float)
-    n2 = upper.size
+    n2 = 2 * bank.n
     if region == "upper":
-        return _half_profiles(rho, upper, coeffs[:, :n2], shifts[:, :n2], y, order)
+        return _half_profiles(bank, bank.upper, 0, y, order)
     if region == "lower":
-        return _half_profiles(rho, lower, coeffs[:, n2:], shifts[:, n2:], y, order)
+        return _half_profiles(bank, bank.lower, n2, y, order)
     flat = y.reshape(-1)
     up = flat >= 0
-    out = np.empty((len(rho), flat.size))
-    out[:, up] = stacked_profiles(upper, lower, rho, coeffs, shifts, flat[up], order, "upper")
-    out[:, ~up] = stacked_profiles(upper, lower, rho, coeffs, shifts, flat[~up], order, "lower")
-    return out.reshape((len(rho),) + y.shape)
+    out = np.empty(bank.rho.shape + flat.shape)
+    out[..., up] = stacked_profiles(bank, flat[up], order, "upper")
+    out[..., ~up] = stacked_profiles(bank, flat[~up], order, "lower")
+    return out.reshape(bank.rho.shape + y.shape)
 
 
-def solve_modal(sys: ModalSystem, tol_singular: float = 1e-10) -> ModalSolution:
-    """Direct pivoted solve of the scaled system.
-
-    Raises SingularMode when |det| falls below tol_singular times the
-    Hadamard row bound, which signals a vanishing modal determinant.
-    """
-    det = scaled_determinant(sys)
-    bound = hadamard_row_bound(sys.matrix)
-    threshold = tol_singular * bound
-    if not math.isfinite(det) or abs(det) < threshold:
-        raise SingularMode(sys.k, det, threshold)
-    coeffs = np.linalg.solve(sys.matrix, sys.rhs)
-    resid = np.abs(sys.matrix @ coeffs - sys.rhs)
-    denom = np.abs(sys.matrix) @ np.abs(coeffs) + np.abs(sys.rhs)
-    rel = float(np.max(resid / np.maximum(denom, 1e-300)))
-    return ModalSolution(
-        k=sys.k, lam=sys.lam, rho=sys.rho, n=sys.n, det_scaled=det,
-        cond=float(np.linalg.cond(sys.matrix)), coeffs=coeffs,
-        upper=sys.upper, lower=sys.lower, column_shifts=sys.column_shifts,
-        solve_residual=rel,
-    )
-
-
-def modal_ode_residual(solution: ModalSolution, sample_ys) -> float:
+def modal_ode_residual(bank: ModeBank, sample_ys) -> float:
     """Max |Y^(2n) + (-1)^n sgn(y) lam Y| / (lam * max|Y|) at the samples."""
     ys = np.asarray(sample_ys, dtype=float)
-    n, lam = solution.n, solution.lam
-    y_val = solution.value(ys, 0)
-    y_top = solution.value(ys, 2 * n)
+    lam = bank.lam[..., None]
+    y_val = stacked_profiles(bank, ys, 0, None)
+    y_top = stacked_profiles(bank, ys, 2 * bank.n, None)
     sgn = np.where(ys >= 0, 1.0, -1.0)
-    res = y_top + ((-1.0) ** n) * sgn * lam * y_val
-    scale = lam * max(float(np.max(np.abs(y_val))), 1e-300)
-    return float(np.max(np.abs(res)) / scale)
+    res = np.abs(y_top + ((-1.0) ** bank.n) * sgn * lam * y_val)
+    scale = lam * np.maximum(np.max(np.abs(y_val), axis=-1, keepdims=True), 1e-300)
+    return float(np.max(res / scale))
 
 
 def upper_block_closed_form(n: int, delta: int, lam: float, a: float):

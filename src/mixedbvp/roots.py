@@ -147,9 +147,12 @@ def unit_values(rho, theta, is_sin, y, order, y_shift):
     rho^-order e^(-alpha y_shift) d^order/dy^order [e^(alpha y) trig(beta y)]
     with alpha = rho cos(theta), beta = rho sin(theta) and trig = sin where
     is_sin holds, cos elsewhere.  theta is a float or an array, not a list.
+    Each phase goes through exactly one of sin and cos.
     """
     phase = rho * np.sin(theta) * y + order * theta
-    osc = np.where(is_sin, np.sin(phase), np.cos(phase))
+    osc = np.empty(np.broadcast_shapes(np.shape(phase), np.shape(is_sin)))
+    np.sin(phase, out=osc, where=is_sin)
+    np.cos(phase, out=osc, where=np.logical_not(is_sin))
     return np.exp(rho * np.cos(theta) * (y - y_shift)) * osc
 
 

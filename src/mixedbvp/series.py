@@ -35,7 +35,7 @@ from .eigen import (
     numeric_eigenpairs,
 )
 from .modal import (
-    SingularMode,
+    ModeBank,
     assemble_from_spec,
     scaled_determinant,
     solve_modal,
@@ -171,10 +171,10 @@ class BoundaryExpansion:
         stacked = np.concatenate([self.phi.ravel(), self.psi.ravel()])
         return float(np.max(np.abs(stacked))) if stacked.size else 0.0
 
-    def mode_magnitude(self, k_index: int) -> float:
-        return float(
-            max(np.max(np.abs(self.phi[:, k_index])), np.max(np.abs(self.psi[:, k_index])))
-        )
+    @property
+    def mode_magnitudes(self) -> np.ndarray:
+        """max(|phi_k|, |psi_k|) over the data functions, per mode."""
+        return np.maximum(np.max(np.abs(self.phi), axis=0), np.max(np.abs(self.psi), axis=0))
 
     def decay_diagnostic(self) -> dict:
         """max_k lam^2 |coef| per function, head half vs tail quarter."""
@@ -220,7 +220,7 @@ class SolutionField:
     spec: ProblemSpec
     basis: EigenBasis
     expansion: BoundaryExpansion
-    modes: list  # ModalSolution or None (skipped singular), length K_active
+    bank: ModeBank  # the K_active solved modes; singular ones skipped
     dets: np.ndarray  # scaled determinants for k = 1..K_requested
     K_requested: int
     K_active: int
@@ -256,25 +256,13 @@ class SolutionField:
         With region None each half's representation is evaluated only at
         points on its own half (y = 0 counts as upper); "upper" or "lower"
         uses that half's representation at every y.  Skipped singular modes
-        read 0.  rho, coefficients and shifts are read from self.modes on
-        each call.
+        read 0.
         """
-        y = np.asarray(y, dtype=float)
-        K = len(self.modes)
-        live = [i for i, mode in enumerate(self.modes) if mode is not None]
-        if not live:
-            return np.zeros((K,) + y.shape)
-        width = 4 * self.spec.n
-        rho, coeffs, shifts = np.zeros(K), np.zeros((K, width)), np.zeros((K, width))
-        rho[live] = [self.modes[i].rho for i in live]
-        coeffs[live] = [self.modes[i].coeffs for i in live]
-        shifts[live] = [self.modes[i].column_shifts for i in live]
-        first = self.modes[live[0]]
-        return stacked_profiles(first.upper, first.lower, rho, coeffs, shifts, y, order, region)
+        return stacked_profiles(self.bank, y, order, region)
 
     def functions(self, x, order: int = 0) -> np.ndarray:
         """X_k^(order)(x) for the active modes, shape (K_active,) + x.shape."""
-        return self.basis.functions(x, order)[: len(self.modes)]
+        return self.basis.functions(x, order)[: self.K_active]
 
     def evaluate(self, x, y, dx_order: int = 0, dy_order: int = 0):
         """Pointwise series value; x and y broadcast together."""
@@ -308,7 +296,7 @@ class SolutionField:
     @property
     def mode_lams(self) -> np.ndarray:
         """Eigenvalue stored on each active mode; skipped singular modes read 0."""
-        return np.array([0.0 if m is None else m.lam for m in self.modes])
+        return np.where(self.bank.singular, 0.0, self.bank.lam)
 
     @property
     def lam_active_max(self) -> float:
@@ -369,11 +357,8 @@ def solve_problem(
     expansion = expand_boundary(spec, basis)
     lams = basis.lambdas
 
-    systems = [
-        assemble_from_spec(spec, k, lams[k - 1], expansion.phi[:, k - 1], expansion.psi[:, k - 1])
-        for k in range(1, K + 1)
-    ]
-    dets = np.array([scaled_determinant(s_) for s_ in systems])
+    systems = assemble_from_spec(spec, lams, expansion.phi.T, expansion.psi.T)
+    dets = scaled_determinant(systems)
     denom = dn.build_report(
         spec, ks=np.arange(1, K + 1), dets=dets, lams=lams, scan_kmax=scan_kmax
     )
@@ -401,25 +386,18 @@ def solve_problem(
     keep = np.nonzero(metric >= tol)[0]
     K_active = int(keep[-1] + 1) if keep.size else 0
 
-    modes = []
-    nonunique = []
-    data_norm = expansion.data_norm
-    ortho_tol = ortho_tol_factor * data_norm
-    for k in range(1, K_active + 1):
-        try:
-            modes.append(solve_modal(systems[k - 1], tol_singular))
-        except SingularMode as sm:
-            magnitude = expansion.mode_magnitude(k - 1)
-            if magnitude <= ortho_tol:
-                modes.append(None)
-                nonunique.append(k)
-            else:
-                raise SingularModeWithData(k, sm.det_scaled, magnitude) from sm
+    bank = solve_modal(systems.rows(slice(K_active)), tol_singular)
+    magnitude = expansion.mode_magnitudes[:K_active]
+    fatal = np.flatnonzero(bank.singular & ~(magnitude <= ortho_tol_factor * expansion.data_norm))
+    if fatal.size:
+        i = fatal[0]
+        raise SingularModeWithData(int(i) + 1, float(bank.det_scaled[i]), float(magnitude[i]))
 
     field = SolutionField(
-        spec=spec, basis=basis, expansion=expansion, modes=modes, dets=dets,
+        spec=spec, basis=basis, expansion=expansion, bank=bank, dets=dets,
         K_requested=K, K_active=K_active, denominator=denom, smoothness=smooth,
-        tail_bound=0.0, weight_law=law, nonunique_modes=nonunique,
+        tail_bound=0.0, weight_law=law,
+        nonunique_modes=(np.flatnonzero(bank.singular) + 1).tolist(),
         tol=tol, tol_singular=tol_singular,
     )
     # Contribution of the last quarter of active modes to max |D_y^(2n) u|.
@@ -437,10 +415,9 @@ def solution_to_csv(field: SolutionField, xs, ys, path) -> None:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     U = field.evaluate_grid(xs, ys)
+    xf = [format_float(v) for v in xs.tolist()]
+    yf = [format_float(v) for v in ys.tolist()]
+    uf = [format_float(v) for v in U.ravel().tolist()]
+    cells = (f"{xv},{yv}," for yv in yf for xv in xf)  # row-major, as U.ravel()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,u\n")
-        for j, yv in enumerate(ys):
-            for i, xv in enumerate(xs):
-                fh.write(
-                    f"{format_float(xv)},{format_float(yv)},{format_float(U[j, i])}\n"
-                )
+        fh.write("x,y,u\n" + "".join(f"{cell}{uv}\n" for cell, uv in zip(cells, uf)))

@@ -44,8 +44,8 @@ def det_family(ks, *, n, s, a, gamma, delta, q, chi):
     lams = ks.astype(float) ** (2 * s)
     dets = np.array([
         scaled_determinant(assemble(n=n, lam=lam, a=a, gamma=gamma,
-                                    delta=delta, q=q, chi=chi, k=int(k)))
-        for k, lam in zip(ks, lams)
+                                    delta=delta, q=q, chi=chi))
+        for lam in lams
     ])
     return lams, dets
 

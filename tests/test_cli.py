@@ -126,6 +126,11 @@ class TestEigs:
         got = [float(line.split(",")[1]) for line in lines]
         assert got == [1.0, 4.0, 9.0]
 
+    def test_model_aliasing_exit_1(self, capsys):
+        assert main(["eigs", "--s", "1", "--K", "5000"]) == 1
+        err = capsys.readouterr().err
+        assert "K=5000 model modes alias on 8193 grid points" in err
+
 
 class TestVerify:
     def test_ok(self, tmp_path, capsys):

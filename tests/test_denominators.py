@@ -18,6 +18,7 @@ from mixedbvp.denominators import (
     diophantine_scan,
     separation_check,
 )
+from mixedbvp.modal import assemble, scaled_determinant
 from mixedbvp.problem import PiRatio, make_spec
 
 
@@ -63,6 +64,34 @@ class TestPhaseTable:
     def test_bad_n(self):
         with pytest.raises(CaseNotTabulated):
             classify_phase(0, 1, 0)
+
+
+def _tabulated_rows(max_n=4):
+    for n in range(1, max_n + 1):
+        for gamma in (1, 2):
+            hi = n if gamma == 1 else 1
+            for q in range(hi + 1):
+                for chi in range(hi + 1):
+                    yield n, gamma, q, chi
+
+
+@pytest.mark.parametrize("n,gamma,q,chi", list(_tabulated_rows()))
+def test_phase_table_matches_fitted_determinants(n, gamma, q, chi):
+    # Fit det_scaled(k) = c sin(rho_k a) + d cos(rho_k a) = A sin(rho_k a + phi)
+    # by least squares, with rho_k = k for lam = k^(2n).  The corrections to
+    # the asymptote decay like exp(-c rho a); at a = 1.5 they are below
+    # rounding from k = 40 on.
+    a = 1.5
+    ks = np.arange(40, 201, dtype=float)
+    lam = ks ** (2 * n)
+    det = scaled_determinant(assemble(n=n, lam=lam, a=a, gamma=gamma, delta=gamma,
+                                      q=q, chi=chi))
+    basis = np.stack([np.sin(ks * a), np.cos(ks * a)], axis=1)
+    (c, d), *_ = np.linalg.lstsq(basis, det, rcond=None)
+    assert np.max(np.abs(basis @ [c, d] - det)) <= 1e-12 * np.max(np.abs(det))
+    fitted = math.atan2(d, c) % math.pi
+    gap = abs(fitted - classify_phase(n, gamma, q).phase)
+    assert min(gap, math.pi - gap) < 1e-9
 
 
 class TestSeparation:

@@ -116,6 +116,24 @@ def test_too_many_modes_raises():
         numeric_eigenpairs(1, BoundaryFunction.zero(), K=100, grid_size=256)
 
 
+def test_model_aliasing_guard():
+    # 8193 points are 8192 Simpson panels: sin(kx) sin(jx) aliases on the
+    # coarse 4096-panel trapezoid rule once k + j reaches 8192.
+    basis = model_eigenpairs(1, 4095)
+    last = basis.samples[-2:]
+    gram = (last * basis.weights) @ last.T
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+    with pytest.raises(DiscretizationTooCoarse, match="K < .* = 4096"):
+        model_eigenpairs(1, 4096)
+
+
+def test_model_aliasing_guard_counts_adjusted_grid():
+    # an even point count is raised to the next odd one before the check
+    assert model_eigenpairs(1, 63, grid_points=128).gram_error() < 1e-12
+    with pytest.raises(DiscretizationTooCoarse):
+        model_eigenpairs(1, 64, grid_points=128)
+
+
 def test_asymptote_check_decays():
     basis = numeric_eigenpairs(1, BoundaryFunction.from_expression("1"),
                                K=20, grid_size=512)

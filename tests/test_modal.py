@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedbvp.modal import (
-    ModalSystem,
-    SingularMode,
     assemble,
     hadamard_row_bound,
     modal_ode_residual,
     scaled_determinant,
     solve_modal,
+    stacked_profiles,
     upper_block_closed_form,
     upper_block_direct,
 )
+from mixedbvp.roots import characteristic_roots, fundamental_system
 
 # |det| of the scaled prototype system at lam = 1, a = pi:
 # (C+S) - e^(-2Ra)(C-S) with R=1, C=cos(pi)=-1, S=0.
@@ -65,7 +65,7 @@ def test_prototype_solve_against_reduction():
     upper = c1h * np.exp(R * (ys - a)) + c2 * np.exp(-R * ys)
     lower = d1 * np.cos(R * ys) + d2 * np.sin(R * ys)
     expect = np.where(ys >= 0, upper, lower)
-    assert np.max(np.abs(sol.value(ys, 0) - expect)) < 1e-13
+    assert np.max(np.abs(stacked_profiles(sol, ys, 0, None) - expect)) < 1e-13
 
 
 def test_unscaled_determinant_against_complex_exponential_basis():
@@ -135,12 +135,13 @@ def test_solve_reproduces_boundary_and_matching(n, gamma, q, chi):
                    phi_k=phi, psi_k=psi)
     sol = solve_modal(sys)
     for r in range(n):
-        got = sol.lower_value(-a, q + gamma * r)
+        got = float(stacked_profiles(sol, -a, q + gamma * r, "lower"))
         assert got == pytest.approx(phi[r], rel=1e-9, abs=1e-9)
-        got = sol.upper_value(a, chi + gamma * r)
+        got = float(stacked_profiles(sol, a, chi + gamma * r, "upper"))
         assert got == pytest.approx(psi[r], rel=1e-9, abs=1e-9)
     rho = lam ** (1.0 / (2 * n))
-    for j, err in enumerate(sol.matching_errors()):
+    for j in range(2 * n):
+        err = abs(stacked_profiles(sol, 0.0, j, "upper") - stacked_profiles(sol, 0.0, j, "lower"))
         assert err <= 1e-9 * max(1.0, rho**j)
 
 
@@ -162,6 +163,50 @@ def test_no_overflow_at_large_k():
     assert np.isfinite(det)
 
 
+def unit_eval_system(n, lam, a, gamma, q, chi):
+    """One mode's scaled matrix, entry by entry from its own BasisFunctions."""
+    upper, lower = (fundamental_system(characteristic_roots(n, lam, region))
+                    for region in ("upper", "lower"))
+    shifts = ([a if f.alpha > 0 else 0.0 for f in upper.functions],
+              [-a if f.alpha < 0 else 0.0 for f in lower.functions])
+
+    def row(system, shift, y, order, sign=1.0):
+        return [sign * f.unit_eval(y, order, sh) for f, sh in zip(system.functions, shift)]
+
+    n2 = 2 * n
+    M = np.zeros((4 * n, 4 * n))
+    for j in range(n):
+        M[j, :n2] = row(upper, shifts[0], a, chi + gamma * j)
+        M[n + j, n2:] = row(lower, shifts[1], -a, q + gamma * j)
+    for j in range(n2):
+        M[n2 + j, :n2] = row(upper, shifts[0], 0.0, j)
+        M[n2 + j, n2:] = row(lower, shifts[1], 0.0, j, -1.0)
+    return M
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("gamma", [1, 2])
+@pytest.mark.parametrize("high_top", [False, True])
+def test_stacked_assembly_matches_unit_eval(n, gamma, high_top):
+    # One stacked assemble and solve against per-mode matrices built from
+    # BasisFunction.unit_eval and per-matrix numpy linear algebra: exact.
+    hi = n if gamma == 1 else 1
+    q, chi = (0, hi) if high_top else (hi, 0)
+    a = 1.3
+    lams = np.array([0.5, 2.0, 37.5, 1e3, 1e6, 1e9, 1e12])
+    rng = np.random.default_rng(n)
+    phi, psi = rng.standard_normal((2, len(lams), n))
+    bank = solve_modal(assemble(n=n, lam=lams, a=a, gamma=gamma, delta=gamma,
+                                q=q, chi=chi, phi_k=phi, psi_k=psi))
+    assert not bank.singular.any()
+    for i, lam in enumerate(lams):
+        M = unit_eval_system(n, lam, a, gamma, q, chi)
+        np.testing.assert_array_equal(bank.matrix[i], M)
+        assert bank.det_scaled[i] == np.linalg.det(M)
+        np.testing.assert_array_equal(bank.coeffs[i], np.linalg.solve(M, bank.rhs[i]))
+        assert bank.cond[i] == np.linalg.cond(M)
+
+
 def test_hadamard_bound_dominates():
     sys = assemble(n=2, lam=81.0, a=1.0, gamma=1, delta=1, q=0, chi=0)
     assert hadamard_row_bound(sys.matrix) >= abs(scaled_determinant(sys))
@@ -172,9 +217,10 @@ def test_singular_mode_detected():
     a = math.pi / 2
     sys = assemble(n=2, lam=float(7**4), a=a, gamma=1, delta=1, q=1, chi=0,
                    phi_k=[1.0, 0.0], psi_k=[0.0, 0.0])
-    with pytest.raises(SingularMode) as info:
-        solve_modal(sys, tol_singular=1e-6)
-    assert abs(info.value.det_scaled) < 1e-5
+    sol = solve_modal(sys, tol_singular=1e-6)
+    assert sol.singular
+    assert abs(sol.det_scaled) < 1e-5
+    assert np.all(sol.coeffs == 0.0)
 
 
 def test_rhs_scaling_matches_row_scaling():
@@ -234,9 +280,9 @@ def test_solve_property(n, lam, seed):
     a = 1.1
     sys = assemble(n=n, lam=lam, a=a, gamma=1, delta=1, q=0, chi=0,
                    phi_k=phi, psi_k=psi)
-    try:
-        sol = solve_modal(sys)
-    except SingularMode:
+    sol = solve_modal(sys)
+    if sol.singular:
         return
     for r in range(n):
-        assert sol.lower_value(-a, r) == pytest.approx(phi[r], rel=1e-7, abs=1e-7)
+        got = float(stacked_profiles(sol, -a, r, "lower"))
+        assert got == pytest.approx(phi[r], rel=1e-7, abs=1e-7)

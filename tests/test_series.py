@@ -6,6 +6,7 @@ import pytest
 
 from mixedbvp._util import jsonable
 from mixedbvp.problem import BoundaryFunction, make_spec
+from mixedbvp.roots import characteristic_roots, fundamental_system
 from mixedbvp.series import (
     OutOfDomain,
     SingularModeWithData,
@@ -160,7 +161,7 @@ class TestSingularPolicy:
         field = solve_problem(self.singular_spec("sin(8*x)"), K=10,
                               tol_singular=1e-6)
         assert 7 in field.nonunique_modes
-        assert field.modes[6] is None
+        assert field.bank.singular[6]
         # the skipped mode contributes nothing but the rest solves
         assert np.isfinite(field.max_abs())
 
@@ -172,16 +173,22 @@ class TestSingularPolicy:
         for order in range(2 * field.spec.n + 1):
             got = field.profiles(ys, order)
             assert got.shape == (field.K_active, len(ys))
-            for idx, mode in enumerate(field.modes):
-                if mode is None:
+            bank = field.bank
+            for idx in range(field.K_active):
+                if bank.singular[idx]:
                     assert np.all(got[idx] == 0.0)
                     continue
+                # this mode's own roots, as scalar basis functions
+                upper, lower = (
+                    fundamental_system(characteristic_roots(field.spec.n, bank.lam[idx], region))
+                    for region in ("upper", "lower")
+                )
                 want = np.zeros(len(ys))
                 for j, yv in enumerate(ys):
-                    fns, cols = (mode.upper.functions, range(n2)) if yv >= 0 else \
-                        (mode.lower.functions, range(n2, 2 * n2))
-                    want[j] = mode.rho**order * sum(
-                        mode.coeffs[c] * f.unit_eval(yv, order, mode.column_shifts[c])
+                    fns, cols = (upper.functions, range(n2)) if yv >= 0 else \
+                        (lower.functions, range(n2, 2 * n2))
+                    want[j] = upper.rootset.rho**order * sum(
+                        bank.coeffs[idx, c] * f.unit_eval(yv, order, bank.column_shifts[idx, c])
                         for f, c in zip(fns, cols)
                     )
                 scale = np.max(np.abs(want))
