@@ -237,7 +237,10 @@ def diophantine_scan(
     raw = kb * sines
 
     refined = {}
-    order = np.argsort(w)[: max(0, int(refine_top))]
+    # Select the refine_top smallest without sorting all k_max, then order them.
+    top = min(max(0, int(refine_top)), len(w))
+    order = np.argpartition(w, top - 1)[:top] if 0 < top < len(w) else np.arange(top)
+    order = order[np.argsort(w[order], kind="stable")]
     with mpmath.workdps(dps):
         tau_hp = tau_mpf(dps)
         for idx in order:

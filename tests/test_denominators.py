@@ -183,6 +183,14 @@ class TestScan:
                                    k_max=500, refine_top=20)
         assert refined.min_w == pytest.approx(base.min_w, rel=1e-9)
 
+    @pytest.mark.parametrize("k_max, top", [(500, 20), (5, 20), (500, 0)])
+    def test_refines_smallest_weights_in_order(self, k_max, top):
+        args = dict(tau="sqrt3", b=2, epsilon=0.3, phase=Fraction(1, 4), k_max=k_max)
+        base = diophantine_scan(**args, refine_top=0)
+        scan = diophantine_scan(**args, refine_top=top)
+        want = base.k[np.argsort(base.w, kind="stable")][:top]
+        assert list(scan.refined) == want.tolist()
+
     def test_epsilon_weighting(self):
         flat = diophantine_scan("sqrt2", b=1, epsilon=0.0, phase=Fraction(1, 2),
                                 k_max=100)

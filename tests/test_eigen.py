@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,16 +93,87 @@ def test_numeric_orthonormal_and_interpolant():
     assert np.max(np.abs(basis.functions(basis.x) - basis.samples)) < 1e-8
 
 
-def test_numeric_functions_derivative_matches_difference():
-    p0 = BoundaryFunction.from_expression("1 + x*(pi - x)")
-    basis = numeric_eigenpairs(1, p0, K=6, grid_size=256)
+def _assert_second_derivative_matches_difference(basis):
     xs = np.linspace(0.3, math.pi - 0.3, 23)
     h = 1e-3
     f = [basis.functions(xs + j * h) for j in (-2, -1, 0, 1, 2)]
     fd = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
     d2 = basis.functions(xs, 2)
-    assert d2.shape == (6, 23)
+    assert d2.shape == (basis.K, 23)
     assert np.max(np.abs(d2 - fd)) < 1e-6 * np.max(np.abs(d2))
+
+
+def test_numeric_functions_derivative_matches_difference():
+    p0 = BoundaryFunction.from_expression("1 + x*(pi - x)")
+    basis = numeric_eigenpairs(1, p0, K=6, grid_size=256)
+    _assert_second_derivative_matches_difference(basis)
+
+
+# Exact cosine coefficients a_m = (2/pi) int p0 cos(mx) of two resolved p0.
+RESOLVED_P0 = {"2": {0: 4}, "1 + cos(2*x)": {0: 2, 2: 1}}
+
+
+@pytest.mark.parametrize("expr", sorted(RESOLVED_P0))
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_galerkin_eigenvalues_match_extended_precision(s, expr):
+    basis = numeric_eigenpairs(s, BoundaryFunction.from_expression(expr), K=16,
+                               grid_size=512)
+    assert basis.meta["method"] == "galerkin"
+    G = basis.meta["modes"]
+    a = RESOLVED_P0[expr]
+    with mpmath.workdps(60):
+        A = mpmath.matrix(G, G)
+        for j in range(1, G + 1):
+            for k in range(1, G + 1):
+                A[j - 1, k - 1] = mpmath.mpf(a.get(abs(j - k), 0) - a.get(j + k, 0)) / 2
+            A[j - 1, j - 1] += mpmath.mpf(j) ** (2 * s)
+        want = sorted(mpmath.eigsy(A, eigvals_only=True))[:16]
+    want = np.array([float(v) for v in want])
+    assert np.max(np.abs(basis.lambdas - want) / want) < 1e-13
+
+
+@pytest.mark.parametrize("p0, method", [
+    (BoundaryFunction.zero(), "galerkin"),
+    (BoundaryFunction.from_expression("2"), "galerkin"),
+    (BoundaryFunction.from_expression("1 + cos(2*x)"), "galerkin"),
+    (BoundaryFunction.from_expression("exp(cos(2*x))"), "galerkin"),
+    (BoundaryFunction.from_expression("1 + x*(pi - x)"), "fd"),
+    (BoundaryFunction.from_samples(2.0 + np.cos(2.0 * np.linspace(0, math.pi, 201))), "fd"),
+])
+def test_numeric_path_follows_cosine_resolution(p0, method):
+    basis = numeric_eigenpairs(1, p0, K=8, grid_size=256)
+    assert basis.meta["method"] == method
+    assert basis.gram_error() < 1e-12
+
+
+def test_galerkin_widens_until_eigenvectors_converge():
+    # cos(6x) couples sin(jx) to sin((j +- 6)x); at K = 16 the eigenvectors
+    # keep coefficients above 1e-13 past mode 32, so G grows from 64 to 128.
+    p0 = BoundaryFunction.from_expression("1 + 0.5*cos(6*x)")
+    basis = numeric_eigenpairs(1, p0, K=16, grid_size=512)
+    assert basis.meta["method"] == "galerkin"
+    assert basis.meta["modes"] == 128
+    xs = np.linspace(0.0, math.pi, 301)
+    residual = (-basis.functions(xs, 2) + p0(xs) * basis.functions(xs)
+                - basis.lambdas[:, None] * basis.functions(xs))
+    assert np.max(np.abs(residual) / basis.lambdas[:, None]) < 1e-12
+
+
+def test_galerkin_negative_constant_potential():
+    # validate() rejects negative p0, but the eigensolver alone accepts it:
+    # lambda_k = k^2 - 2 includes a negative eigenvalue.
+    basis = numeric_eigenpairs(1, -2.0, K=6, grid_size=64)
+    ks = np.arange(1, 7, dtype=float)
+    assert np.max(np.abs(basis.lambdas - (ks**2 - 2.0))) < 1e-13
+
+
+def test_galerkin_functions_derivative_matches_difference():
+    p0 = BoundaryFunction.from_expression("1 + cos(2*x)")
+    basis = numeric_eigenpairs(2, p0, K=6, grid_size=256)
+    assert basis.meta["method"] == "galerkin"
+    _assert_second_derivative_matches_difference(basis)
+    # the stored series reproduces the samples
+    assert np.max(np.abs(basis.functions(basis.x) - basis.samples)) < 1e-14
 
 
 def test_numeric_higher_order_operator():
@@ -114,6 +186,25 @@ def test_numeric_higher_order_operator():
 def test_too_many_modes_raises():
     with pytest.raises(DiscretizationTooCoarse):
         numeric_eigenpairs(1, BoundaryFunction.zero(), K=100, grid_size=256)
+
+
+def test_fd_refusal_names_its_cause():
+    p0 = BoundaryFunction.from_expression("1 + x*(pi - x)")
+    with pytest.raises(DiscretizationTooCoarse,
+                       match="cosine series did not resolve.*finer grid_size may"):
+        numeric_eigenpairs(1, p0, K=8, grid_size=64)
+    # At s = 2 on 2 x 2048 panels the grid change of lambda_1 (2.1e-4) passes
+    # rel_tol, but rounding of order eps*||T^2|| is 2.5e-3 of lambda_1.
+    with pytest.raises(DiscretizationTooCoarse, match=(
+            r"mode k=1 .*rounding 2\.5e-03 .*eps\*\|\|T\^s\|\|.*"
+            "a finer grid cannot resolve")) as err:
+        numeric_eigenpairs(2, p0, K=1, grid_size=2048)
+    assert "finer grid_size may" not in str(err.value)
+    # At s = 2 a coarse grid fails on the grid change and names the rounding.
+    with pytest.raises(DiscretizationTooCoarse, match=(
+            r"rel change.*finer grid_size may.*s >= 2 rounding .*eps\*\|\|T\^s\|\|.*grows")) as err:
+        numeric_eigenpairs(2, p0, K=8, grid_size=128)
+    assert "cannot resolve" not in str(err.value)
 
 
 def test_model_aliasing_guard():
